@@ -6,7 +6,8 @@ a **spec** — either an already-constructed backend instance or a string:
 * ``"memory"`` — in-memory store (the default; byte-identical legacy
   behaviour);
 * ``"sqlite"`` — SQLite store in ``:memory:``;
-* ``"sqlite:///path/to.db"`` — SQLite store on disk;
+* ``"sqlite:///path/to.db"`` — SQLite store on disk (the path may not
+  be empty; ``"sqlite:///:memory:"`` names an in-memory one);
 * ``"redis"`` / ``"redis://host:port/db"`` — Redis store (requires the
   client package and a reachable server, else
   :class:`~repro.backends.base.BackendUnavailable`);
@@ -61,7 +62,12 @@ def create_state_store(spec: "StateStore | str | None") -> StateStore:
     if isinstance(spec, StateStore):
         return spec
     if spec.startswith("sqlite:///"):
-        return SQLiteStateStore(spec[len("sqlite:///"):])
+        path = spec[len("sqlite:///"):]
+        if not path:
+            # sqlite3 would open a private temporary database that
+            # vanishes at close — a store that looks durable but isn't.
+            raise ValueError(f"state store spec {spec!r} names no database path")
+        return SQLiteStateStore(path)
     if spec.startswith("redis://"):
         return RedisStateStore(url=spec)
     if spec.startswith(("postgres://", "postgresql://")):

@@ -1,4 +1,4 @@
-"""SQLite-backed :class:`StateStore` adapter.
+"""SQL row-level :class:`StateStore` adapter: SQLite, and Postgres by subclass.
 
 Subscription queues and conit accounting live in two tables:
 
@@ -35,6 +35,14 @@ to silently roll back *everything* when the connection closed — data
 only looked durable because re-attach tests shared the connection.
 Checkpoint writes get an explicit ``BEGIN IMMEDIATE … COMMIT`` so a
 process killed mid-save leaves the old blob, never a torn one.
+
+The handle and view below are the only SQL queue implementation: every
+statement they run comes from their store's :class:`Statements`,
+built once at construction from the table prefix and the driver's
+placeholder, and goes through the store's ``_execute`` / ``_fetchone``
+/ ``_fetchall``. :class:`~repro.backends.postgres_store.PostgresStateStore`
+overrides just those (plus the connect, DDL types and ``BEGIN``) to run
+the same rows on a Postgres connection.
 """
 
 from __future__ import annotations
@@ -54,42 +62,117 @@ def _blob(value) -> bytes:
     return pickle.dumps(value, protocol=4)
 
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS subs (
-    dyconit BLOB NOT NULL,
-    sub_id INTEGER NOT NULL,
-    pos INTEGER NOT NULL,
-    b_num REAL NOT NULL,
-    b_stale REAL NOT NULL,
-    b_order REAL NOT NULL,
-    acc_error REAL NOT NULL,
-    oldest REAL,
-    enqueued INTEGER NOT NULL,
-    merged INTEGER NOT NULL,
+def schema(prefix: str, blob: str, integer: str, real: str) -> str:
+    """The three tables and the supersede index, as ``;``-separated DDL
+    in the given column types, table names prefixed by ``prefix``."""
+    return f"""
+CREATE TABLE IF NOT EXISTS {prefix}subs (
+    dyconit {blob} NOT NULL,
+    sub_id {integer} NOT NULL,
+    pos {integer} NOT NULL,
+    b_num {real} NOT NULL,
+    b_stale {real} NOT NULL,
+    b_order {real} NOT NULL,
+    acc_error {real} NOT NULL,
+    oldest {real},
+    enqueued {integer} NOT NULL,
+    merged {integer} NOT NULL,
     PRIMARY KEY (dyconit, sub_id)
 );
-CREATE TABLE IF NOT EXISTS pending (
-    dyconit BLOB NOT NULL,
-    sub_id INTEGER NOT NULL,
-    seq INTEGER NOT NULL,
-    mkey BLOB NOT NULL,
-    time REAL NOT NULL,
-    blob BLOB NOT NULL,
+CREATE TABLE IF NOT EXISTS {prefix}pending (
+    dyconit {blob} NOT NULL,
+    sub_id {integer} NOT NULL,
+    seq {integer} NOT NULL,
+    mkey {blob} NOT NULL,
+    time {real} NOT NULL,
+    blob {blob} NOT NULL,
     PRIMARY KEY (dyconit, sub_id, seq)
 );
-CREATE INDEX IF NOT EXISTS pending_by_key ON pending (dyconit, sub_id, mkey);
-CREATE TABLE IF NOT EXISTS checkpoints (
+CREATE INDEX IF NOT EXISTS {prefix}pending_by_key ON {prefix}pending (dyconit, sub_id, mkey);
+CREATE TABLE IF NOT EXISTS {prefix}checkpoints (
     key TEXT PRIMARY KEY,
-    ord INTEGER NOT NULL,
-    blob BLOB NOT NULL
+    ord {integer} NOT NULL,
+    blob {blob} NOT NULL
 );
 """
+
+
+class Statements:
+    """Every row statement a store runs, built once per store.
+
+    ``prefix`` namespaces the table names and ``p`` is the driver's
+    parameter placeholder (``?`` for sqlite3, ``%s`` for the Postgres
+    drivers).
+    """
+
+    def __init__(self, prefix: str, p: str) -> None:
+        subs, pending, ckpt = f"{prefix}subs", f"{prefix}pending", f"{prefix}checkpoints"
+        row = f"WHERE dyconit = {p} AND sub_id = {p}"
+
+        def select(columns: str) -> str:
+            return f"SELECT {columns} FROM {subs} {row}"
+
+        # -- subs: one row per subscription
+        self.bounds = select("b_num, b_stale, b_order")
+        self.error = select("acc_error")
+        self.oldest = select("oldest")
+        self.enqueued = select("enqueued")
+        self.merged = select("merged")
+        self.trip = select("acc_error, oldest, b_num, b_stale, b_order")
+        self.account = select("acc_error, oldest, enqueued, merged")
+        self.sub_exists = select("1")
+        self.set_bounds = (
+            f"UPDATE {subs} SET b_num = {p}, b_stale = {p}, b_order = {p} {row}"
+        )
+        self.set_account = (
+            f"UPDATE {subs} SET acc_error = {p}, oldest = {p}, enqueued = {p}, "
+            f"merged = {p} {row}"
+        )
+        self.clear_account = f"UPDATE {subs} SET acc_error = 0.0, oldest = NULL {row}"
+        self.set_oldest = f"UPDATE {subs} SET oldest = {p} {row}"
+        insert = (
+            f"INSERT INTO {subs} (dyconit, sub_id, pos, b_num, b_stale, b_order, "
+            f"acc_error, oldest, enqueued, merged) VALUES ({p}, {p}, {p}, {p}, {p}, {p}, "
+        )
+        self.insert_sub = insert + "0.0, NULL, 0, 0)"
+        self.insert_snapshot = insert + f"{p}, {p}, {p}, {p})"
+        self.delete_sub = f"DELETE FROM {subs} {row}"
+        self.delete_subs_of = f"DELETE FROM {subs} WHERE dyconit = {p}"
+        self.delete_all_subs = f"DELETE FROM {subs}"
+        self.max_pos = f"SELECT MAX(pos) FROM {subs}"
+        # -- pending: one row per queued update, in seq order
+        self.pending_items = f"SELECT mkey, blob FROM {pending} {row} ORDER BY seq"
+        self.pending_blobs = f"SELECT blob FROM {pending} {row} ORDER BY seq"
+        self.pending_rows = (
+            f"SELECT seq, mkey, time, blob FROM {pending} {row} ORDER BY seq"
+        )
+        self.pending_count = f"SELECT COUNT(*) FROM {pending} {row}"
+        self.key_exists = f"SELECT 1 FROM {pending} {row} AND mkey = {p}"
+        self.delete_key = f"DELETE FROM {pending} {row} AND mkey = {p}"
+        self.insert_pending = (
+            f"INSERT INTO {pending} (dyconit, sub_id, seq, mkey, time, blob) "
+            f"VALUES ({p}, {p}, {p}, {p}, {p}, {p})"
+        )
+        self.delete_pending = f"DELETE FROM {pending} {row}"
+        self.delete_pending_of = f"DELETE FROM {pending} WHERE dyconit = {p}"
+        self.delete_all_pending = f"DELETE FROM {pending}"
+        self.max_seq = f"SELECT MAX(seq) FROM {pending}"
+        # -- checkpoints: restart blobs in first-save order
+        self.max_ord = f"SELECT MAX(ord) FROM {ckpt}"
+        self.upsert_checkpoint = (
+            f"INSERT INTO {ckpt} (key, ord, blob) VALUES ({p}, {p}, {p}) "
+            f"ON CONFLICT (key) DO UPDATE SET blob = EXCLUDED.blob"
+        )
+        self.load_checkpoint = f"SELECT blob FROM {ckpt} WHERE key = {p}"
+        self.checkpoint_keys = f"SELECT key FROM {ckpt} ORDER BY ord"
 
 
 class SQLiteStateStore(StateStore):
     """Dyconit state in a SQLite database (``:memory:`` by default)."""
 
     name = "sqlite"
+    #: Opens the checkpoint write transaction.
+    _begin = "BEGIN IMMEDIATE"
 
     def __init__(self, path: str = ":memory:") -> None:
         self.path = path
@@ -100,15 +183,31 @@ class SQLiteStateStore(StateStore):
         # serialized threading mode makes the shared connection safe for
         # that single-writer/concurrent-reader split.
         self._conn = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
-        self._closed = False
         # The simulation is the single writer and owns durability at the
         # run level; per-statement fsync would only distort benchmarks.
         self._conn.execute("PRAGMA synchronous=OFF")
-        self._conn.executescript(_SCHEMA)
-        row = self._conn.execute("SELECT MAX(seq) FROM pending").fetchone()
-        self._seq = (row[0] or 0) + 1
-        row = self._conn.execute("SELECT MAX(pos) FROM subs").fetchone()
-        self._pos = (row[0] or 0) + 1
+        self._conn.executescript(schema("", "BLOB", "INTEGER", "REAL"))
+        self._open(Statements("", "?"))
+
+    def _open(self, sql: Statements) -> None:
+        """Adopt the statement set; resume the counters past stored rows."""
+        self._sql = sql
+        self._closed = False
+        (top,) = self._fetchone(sql.max_seq)
+        self._seq = (top or 0) + 1
+        (top,) = self._fetchone(sql.max_pos)
+        self._pos = (top or 0) + 1
+
+    # -- driver plumbing (Postgres overrides these with cursors) -------
+
+    def _execute(self, sql: str, params: tuple = ()) -> None:
+        self._conn.execute(sql, params)
+
+    def _fetchone(self, sql: str, params: tuple = ()):
+        return self._conn.execute(sql, params).fetchone()
+
+    def _fetchall(self, sql: str, params: tuple = ()) -> list:
+        return self._conn.execute(sql, params).fetchall()
 
     def create_dyconit_state(
         self, dyconit_id: Hashable, *, merging: bool, flat: bool
@@ -120,8 +219,8 @@ class SQLiteStateStore(StateStore):
 
     def drop_dyconit_state(self, dyconit_id: Hashable) -> None:
         dk = _blob(dyconit_id)
-        self._conn.execute("DELETE FROM subs WHERE dyconit = ?", (dk,))
-        self._conn.execute("DELETE FROM pending WHERE dyconit = ?", (dk,))
+        self._execute(self._sql.delete_subs_of, (dk,))
+        self._execute(self._sql.delete_pending_of, (dk,))
 
     def next_seq(self) -> int:
         seq, self._seq = self._seq, self._seq + 1
@@ -139,44 +238,29 @@ class SQLiteStateStore(StateStore):
         Restore runs this first so rows written *after* a checkpoint by
         a later-killed run can never leak into the resumed one.
         """
-        self._conn.execute("DELETE FROM subs")
-        self._conn.execute("DELETE FROM pending")
+        self._execute(self._sql.delete_all_subs)
+        self._execute(self._sql.delete_all_pending)
         self._seq = 1
         self._pos = 1
 
     def save_checkpoint(self, key: str, blob: bytes) -> None:
-        conn = self._conn
-        conn.execute("BEGIN IMMEDIATE")
+        # A new key takes the next ``ord``; an existing one keeps its
+        # place and only swaps the blob.
+        self._execute(self._begin)
         try:
-            row = conn.execute(
-                "SELECT ord FROM checkpoints WHERE key = ?", (key,)
-            ).fetchone()
-            if row is not None:
-                conn.execute(
-                    "UPDATE checkpoints SET blob = ? WHERE key = ?", (blob, key)
-                )
-            else:
-                (top,) = conn.execute("SELECT MAX(ord) FROM checkpoints").fetchone()
-                conn.execute(
-                    "INSERT INTO checkpoints (key, ord, blob) VALUES (?, ?, ?)",
-                    (key, (top or 0) + 1, blob),
-                )
+            (top,) = self._fetchone(self._sql.max_ord)
+            self._execute(self._sql.upsert_checkpoint, (key, (top or 0) + 1, blob))
         except BaseException:
-            conn.execute("ROLLBACK")
+            self._execute("ROLLBACK")
             raise
-        conn.execute("COMMIT")
+        self._execute("COMMIT")
 
     def load_checkpoint(self, key: str) -> bytes | None:
-        row = self._conn.execute(
-            "SELECT blob FROM checkpoints WHERE key = ?", (key,)
-        ).fetchone()
-        return None if row is None else row[0]
+        row = self._fetchone(self._sql.load_checkpoint, (key,))
+        return None if row is None else bytes(row[0])
 
     def checkpoint_keys(self) -> list[str]:
-        rows = self._conn.execute(
-            "SELECT key FROM checkpoints ORDER BY ord"
-        ).fetchall()
-        return [key for (key,) in rows]
+        return [key for (key,) in self._fetchall(self._sql.checkpoint_keys)]
 
     def close(self) -> None:
         if self._closed:
@@ -193,25 +277,21 @@ class SQLiteSubscriptionView:
     writes it — the row *is* the state.
     """
 
-    __slots__ = ("_handle", "subscriber")
+    __slots__ = ("_handle", "_store", "_sql", "subscriber")
 
     def __init__(self, handle: "SQLiteDyconitState", subscriber: Subscriber) -> None:
         self._handle = handle
+        self._store = handle._store
+        self._sql = handle._store._sql
         self.subscriber = subscriber
 
     # -- row plumbing --------------------------------------------------
 
-    def _conn(self) -> sqlite3.Connection:
-        return self._handle._store._conn
-
     def _key(self) -> tuple[bytes, int]:
         return (self._handle._dk, self.subscriber.subscriber_id)
 
-    def _row(self, columns: str):
-        return self._conn().execute(
-            f"SELECT {columns} FROM subs WHERE dyconit = ? AND sub_id = ?",
-            self._key(),
-        ).fetchone()
+    def _row(self, select: str):
+        return self._store._fetchone(select, self._key())
 
     @property
     def merging(self) -> bool:
@@ -221,16 +301,15 @@ class SQLiteSubscriptionView:
 
     @property
     def bounds(self) -> Bounds:
-        row = self._row("b_num, b_stale, b_order")
+        row = self._row(self._sql.bounds)
         if row is None:
             return Bounds.INFINITE
         return Bounds(row[0], row[1], row[2])
 
     @bounds.setter
     def bounds(self, bounds: Bounds) -> None:
-        self._conn().execute(
-            "UPDATE subs SET b_num = ?, b_stale = ?, b_order = ? "
-            "WHERE dyconit = ? AND sub_id = ?",
+        self._store._execute(
+            self._sql.set_bounds,
             (bounds.numerical, bounds.staleness_ms, bounds.order, *self._key()),
         )
 
@@ -238,32 +317,27 @@ class SQLiteSubscriptionView:
 
     @property
     def accumulated_error(self) -> float:
-        row = self._row("acc_error")
+        row = self._row(self._sql.error)
         return 0.0 if row is None else row[0]
 
     @property
     def oldest_pending_time(self) -> float | None:
-        row = self._row("oldest")
+        row = self._row(self._sql.oldest)
         return None if row is None else row[0]
 
     @property
     def enqueued_count(self) -> int:
-        row = self._row("enqueued")
+        row = self._row(self._sql.enqueued)
         return 0 if row is None else row[0]
 
     @property
     def merged_count(self) -> int:
-        row = self._row("merged")
+        row = self._row(self._sql.merged)
         return 0 if row is None else row[0]
 
     @property
     def pending(self) -> dict[tuple, Update]:
-        dk, sub_id = self._key()
-        rows = self._conn().execute(
-            "SELECT mkey, blob FROM pending WHERE dyconit = ? AND sub_id = ? "
-            "ORDER BY seq",
-            (dk, sub_id),
-        ).fetchall()
+        rows = self._store._fetchall(self._sql.pending_items, self._key())
         return {pickle.loads(mkey): pickle.loads(blob) for mkey, blob in rows}
 
     @property
@@ -277,15 +351,11 @@ class SQLiteSubscriptionView:
         return now - oldest
 
     def tripped_dimension(self, now: float) -> str | None:
-        row = self._row("acc_error, oldest, b_num, b_stale, b_order")
+        row = self._row(self._sql.trip)
         if row is None or row[1] is None:
             return None
         acc_error, oldest, b_num, b_stale, b_order = row
-        dk, sub_id = self._key()
-        (count,) = self._conn().execute(
-            "SELECT COUNT(*) FROM pending WHERE dyconit = ? AND sub_id = ?",
-            (dk, sub_id),
-        ).fetchone()
+        (count,) = self._row(self._sql.pending_count)
         return Bounds(b_num, b_stale, b_order).tripped_dimension(
             acc_error, now - oldest, count
         )
@@ -296,9 +366,9 @@ class SQLiteSubscriptionView:
     # -- mutation ------------------------------------------------------
 
     def enqueue(self, update: Update) -> EnqueueResult:
-        conn = self._conn()
+        store, sql = self._store, self._sql
         dk, sub_id = self._key()
-        row = self._row("acc_error, oldest, enqueued, merged")
+        row = self._row(sql.account)
         if row is None:
             raise KeyError(
                 f"subscriber {sub_id} is not subscribed to "
@@ -311,29 +381,17 @@ class SQLiteSubscriptionView:
             else (enqueued, update.merge_key)
         )
         mkey = _blob(key)
-        superseded = (
-            conn.execute(
-                "SELECT 1 FROM pending WHERE dyconit = ? AND sub_id = ? AND mkey = ?",
-                (dk, sub_id, mkey),
-            ).fetchone()
-            is not None
-        )
+        superseded = store._fetchone(sql.key_exists, (dk, sub_id, mkey)) is not None
         if superseded:
-            conn.execute(
-                "DELETE FROM pending WHERE dyconit = ? AND sub_id = ? AND mkey = ?",
-                (dk, sub_id, mkey),
-            )
+            store._execute(sql.delete_key, (dk, sub_id, mkey))
             merged += 1
-        conn.execute(
-            "INSERT INTO pending (dyconit, sub_id, seq, mkey, time, blob) "
-            "VALUES (?, ?, ?, ?, ?, ?)",
-            (dk, sub_id, self._handle._store.next_seq(), mkey, update.time,
-             _blob(update)),
+        store._execute(
+            sql.insert_pending,
+            (dk, sub_id, store.next_seq(), mkey, update.time, _blob(update)),
         )
         became_pending = oldest is None
-        conn.execute(
-            "UPDATE subs SET acc_error = ?, oldest = ?, enqueued = ?, merged = ? "
-            "WHERE dyconit = ? AND sub_id = ?",
+        store._execute(
+            sql.set_account,
             (
                 acc_error + update.weight,  # same float add as the legacy path
                 update.time if became_pending else oldest,
@@ -346,51 +404,31 @@ class SQLiteSubscriptionView:
         return EnqueueResult(superseded=superseded, became_pending=became_pending)
 
     def drain(self) -> list[Update]:
-        conn = self._conn()
-        dk, sub_id = self._key()
-        rows = conn.execute(
-            "SELECT blob FROM pending WHERE dyconit = ? AND sub_id = ? ORDER BY seq",
-            (dk, sub_id),
-        ).fetchall()
-        conn.execute(
-            "DELETE FROM pending WHERE dyconit = ? AND sub_id = ?", (dk, sub_id)
-        )
-        conn.execute(
-            "UPDATE subs SET acc_error = 0.0, oldest = NULL "
-            "WHERE dyconit = ? AND sub_id = ?",
-            (dk, sub_id),
-        )
+        store, sql = self._store, self._sql
+        key = self._key()
+        rows = store._fetchall(sql.pending_blobs, key)
+        store._execute(sql.delete_pending, key)
+        store._execute(sql.clear_account, key)
         return [pickle.loads(blob) for (blob,) in rows]
 
     def restore_time_order(self) -> None:
-        conn = self._conn()
-        dk, sub_id = self._key()
-        rows = conn.execute(
-            "SELECT seq, mkey, time, blob FROM pending "
-            "WHERE dyconit = ? AND sub_id = ? ORDER BY seq",
-            (dk, sub_id),
-        ).fetchall()
+        store, sql = self._store, self._sql
+        dk, sub_id = key = self._key()
+        rows = store._fetchall(sql.pending_rows, key)
         if not rows:
             return
         # Stable by time: equal-time entries keep their current order —
         # the exact semantics of the legacy sorted() re-dict.
         ordered = sorted(rows, key=lambda row: row[2])
-        conn.execute(
-            "DELETE FROM pending WHERE dyconit = ? AND sub_id = ?", (dk, sub_id)
-        )
+        store._execute(sql.delete_pending, key)
         for __, mkey, time, blob in ordered:
-            conn.execute(
-                "INSERT INTO pending (dyconit, sub_id, seq, mkey, time, blob) "
-                "VALUES (?, ?, ?, ?, ?, ?)",
-                (dk, sub_id, self._handle._store.next_seq(), mkey, time, blob),
+            store._execute(
+                sql.insert_pending, (dk, sub_id, store.next_seq(), mkey, time, blob)
             )
         first_time = ordered[0][2]
-        row = self._row("oldest")
-        if row[0] is None or first_time < row[0]:
-            conn.execute(
-                "UPDATE subs SET oldest = ? WHERE dyconit = ? AND sub_id = ?",
-                (first_time, dk, sub_id),
-            )
+        (oldest,) = self._row(sql.oldest)
+        if oldest is None or first_time < oldest:
+            store._execute(sql.set_oldest, (first_time, dk, sub_id))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -406,6 +444,7 @@ class SQLiteDyconitState(DyconitStateHandle):
         self, store: SQLiteStateStore, dyconit_id: Hashable, merging: bool = True
     ) -> None:
         self._store = store
+        self._sql = store._sql
         self.dyconit_id = dyconit_id
         self._dk = _blob(dyconit_id)
         self.merging = merging
@@ -442,26 +481,20 @@ class SQLiteDyconitState(DyconitStateHandle):
             return view
         view = SQLiteSubscriptionView(self, subscriber)
         self._views[sub_id] = view
-        conn = self._store._conn
-        row = conn.execute(
-            "SELECT 1 FROM subs WHERE dyconit = ? AND sub_id = ?",
-            (self._dk, sub_id),
-        ).fetchone()
-        if row is not None:
+        store = self._store
+        if store._fetchone(self._sql.sub_exists, (self._dk, sub_id)) is not None:
             # Re-attach to a persisted subscription: the queue and its
             # accounting survive a handle (or process) restart.
             if bounds is not None:
                 view.bounds = bounds
             return view
         effective = bounds if bounds is not None else self.default_bounds
-        conn.execute(
-            "INSERT INTO subs (dyconit, sub_id, pos, b_num, b_stale, b_order, "
-            "acc_error, oldest, enqueued, merged) "
-            "VALUES (?, ?, ?, ?, ?, ?, 0.0, NULL, 0, 0)",
+        store._execute(
+            self._sql.insert_sub,
             (
                 self._dk,
                 sub_id,
-                self._store.next_pos(),
+                store.next_pos(),
                 effective.numerical,
                 effective.staleness_ms,
                 effective.order,
@@ -485,15 +518,9 @@ class SQLiteDyconitState(DyconitStateHandle):
             merged_count=view.merged_count,
             merging=self.merging,
         )
-        conn = self._store._conn
-        conn.execute(
-            "DELETE FROM subs WHERE dyconit = ? AND sub_id = ?",
-            (self._dk, subscriber_id),
-        )
-        conn.execute(
-            "DELETE FROM pending WHERE dyconit = ? AND sub_id = ?",
-            (self._dk, subscriber_id),
-        )
+        key = (self._dk, subscriber_id)
+        self._store._execute(self._sql.delete_sub, key)
+        self._store._execute(self._sql.delete_pending, key)
         return state
 
     def get_state(self, subscriber_id: int) -> SQLiteSubscriptionView | None:
@@ -509,21 +536,15 @@ class SQLiteDyconitState(DyconitStateHandle):
             raise ValueError(
                 f"subscriber {sub_id} already subscribed to {self.dyconit_id!r}"
             )
-        conn = self._store._conn
-        conn.execute(
-            "DELETE FROM subs WHERE dyconit = ? AND sub_id = ?", (self._dk, sub_id)
-        )
-        conn.execute(
-            "DELETE FROM pending WHERE dyconit = ? AND sub_id = ?", (self._dk, sub_id)
-        )
-        conn.execute(
-            "INSERT INTO subs (dyconit, sub_id, pos, b_num, b_stale, b_order, "
-            "acc_error, oldest, enqueued, merged) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+        store, sql = self._store, self._sql
+        store._execute(sql.delete_sub, (self._dk, sub_id))
+        store._execute(sql.delete_pending, (self._dk, sub_id))
+        store._execute(
+            sql.insert_snapshot,
             (
                 self._dk,
                 sub_id,
-                self._store.next_pos(),
+                store.next_pos(),
                 snap.bounds.numerical,
                 snap.bounds.staleness_ms,
                 snap.bounds.order,
@@ -534,10 +555,9 @@ class SQLiteDyconitState(DyconitStateHandle):
             ),
         )
         for key, update in snap.pending:
-            conn.execute(
-                "INSERT INTO pending (dyconit, sub_id, seq, mkey, time, blob) "
-                "VALUES (?, ?, ?, ?, ?, ?)",
-                (self._dk, sub_id, self._store.next_seq(), _blob(key),
+            store._execute(
+                sql.insert_pending,
+                (self._dk, sub_id, store.next_seq(), _blob(key),
                  update.time, _blob(update)),
             )
         view = SQLiteSubscriptionView(self, subscriber)

@@ -594,6 +594,7 @@ class _ShardHandle:
         self.shard_id = shard_id
         self._process = process
         self._conn = conn
+        self._last_cmd: str | None = None
         self.world = _MirrorWorld(runner.config.seed, shard_id + 1, num_shards)
         self.ghost_ids: set[int] = set()
         self.sessions: dict[int, _HandleSession] = {}
@@ -614,10 +615,17 @@ class _ShardHandle:
     # -- RPC plumbing --------------------------------------------------
 
     def _send(self, cmd: str, payload) -> None:
-        self._conn.send((cmd, payload))
+        self._last_cmd = cmd
+        try:
+            self._conn.send((cmd, payload))
+        except (BrokenPipeError, ConnectionResetError, EOFError) as exc:
+            raise self._worker_died() from exc
 
     def _recv(self):
-        status, payload = self._conn.recv()
+        try:
+            status, payload = self._conn.recv()
+        except (BrokenPipeError, ConnectionResetError, EOFError) as exc:
+            raise self._worker_died() from exc
         if status == "invariant":
             raise InvariantViolationError(
                 [
@@ -630,6 +638,15 @@ class _ShardHandle:
                 f"shard {self.shard_id} worker failed:\n{payload}"
             )
         return payload
+
+    def _worker_died(self) -> RuntimeError:
+        """The pipe closed under us: name the shard, what it was asked
+        and how its process ended."""
+        self._process.join(timeout=5)
+        return RuntimeError(
+            f"shard {self.shard_id} worker died during {self._last_cmd!r} "
+            f"(exit code {self._process.exitcode})"
+        )
 
     def _rpc(self, cmd: str, payload):
         self._send(cmd, payload)
@@ -821,7 +838,7 @@ class ParallelShardRunner(ShardedCluster):
         for handle in self.shards:
             try:
                 handle._send("exit", None)
-            except (BrokenPipeError, OSError):
+            except (RuntimeError, OSError):  # worker already gone
                 pass
         for handle in self.shards:
             handle._process.join(timeout=10)

@@ -5,7 +5,10 @@ One contract, every registered backend: each test runs against every
 event-bus tests against every bus), so a new adapter is under the full
 contract the moment it registers. Backends whose driver or service is
 absent in this environment (e.g. Redis without ``REPRO_REDIS_URL``)
-raise :class:`BackendUnavailable` and skip — honestly, per test.
+raise :class:`BackendUnavailable` and skip — honestly, per test. One
+extra parametrisation, ``postgres-shim``, runs the Postgres adapter
+itself over a sqlite3 DB-API shim, so its SQL path is under the
+contract without a server.
 
 The contract is *the in-memory semantics*, bit-for-bit:
 
@@ -24,12 +27,13 @@ The contract is *the in-memory semantics*, bit-for-bit:
 """
 
 import math
+import sqlite3
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import BackendUnavailable, state_store_factories
+from repro.backends import BackendUnavailable, postgres_store, state_store_factories
 from repro.backends.base import snapshot_subscription
 from repro.backends.memory import InMemoryStateStore
 from repro.core.bounds import Bounds
@@ -64,6 +68,29 @@ def block(x=0, time=0.0, new=BlockType.STONE):
     return BlockChangeEvent(time, BlockPos(x, 10, 0), BlockType.AIR, new)
 
 
+class _PgShimCursor(sqlite3.Cursor):
+    """A sqlite3 cursor speaking the Postgres drivers' ``%s`` paramstyle."""
+
+    def execute(self, sql, params=()):
+        return super().execute(sql.replace("%s", "?"), params)
+
+
+class _PgShimConnection(sqlite3.Connection):
+    def cursor(self, factory=_PgShimCursor):
+        return super().cursor(factory)
+
+
+def _pg_shim_connect(url):
+    return sqlite3.connect(":memory:", isolation_level=None, factory=_PgShimConnection)
+
+
+#: The Postgres adapter run without a server: ``PostgresStateStore`` with
+#: its own DDL, table namespace, cursor helpers and checkpoint upsert,
+#: over a DB-API shim on sqlite3 in place of the driver connection.
+POSTGRES_SHIM = "postgres-shim"
+STORE_NAMES = sorted(state_store_factories()) + [POSTGRES_SHIM]
+
+
 def fresh_store(name):
     """Build one store instance, skipping unavailable backends.
 
@@ -74,14 +101,19 @@ def fresh_store(name):
     snapshots are wiped explicitly too.
     """
     try:
-        store = state_store_factories()[name]()
+        if name == POSTGRES_SHIM:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(postgres_store, "_connect", _pg_shim_connect)
+                store = postgres_store.PostgresStateStore(namespace="shim")
+        else:
+            store = state_store_factories()[name]()
     except BackendUnavailable as exc:
         pytest.skip(f"{name}: {exc}")
     store.reset()
     return store
 
 
-@pytest.fixture(params=sorted(state_store_factories()))
+@pytest.fixture(params=STORE_NAMES)
 def store(request):
     """Every registered state store, skipping the unavailable ones."""
     store = fresh_store(request.param)
@@ -547,12 +579,16 @@ def run_engine_capture(store_spec: str):
     return captures
 
 
-@pytest.mark.parametrize("name", sorted(state_store_factories()))
+@pytest.mark.parametrize("name", STORE_NAMES)
 def test_engine_packets_identical_to_memory(name):
     if name == "memory":
         pytest.skip("memory is the reference")
     try:
-        backend = run_engine_capture(name)
+        if name == POSTGRES_SHIM:
+            with fresh_store(name) as store:
+                backend = run_engine_capture(store)
+        else:
+            backend = run_engine_capture(name)
     except BackendUnavailable as exc:
         pytest.skip(f"{name}: {exc}")
     reference = run_engine_capture("memory")
@@ -653,7 +689,7 @@ class TestRestartConformance:
         hypothesis schedule below samples kill points, this pins one
         deep mid-tape kill (right after the mid-tape re-subscription)
         for every backend, deterministically."""
-        for name in sorted(state_store_factories()):
+        for name in STORE_NAMES:
             if name == "memory":
                 continue
             try:
@@ -700,7 +736,7 @@ class TestRestartConformance:
 
 
 @pytest.mark.parametrize(
-    "name", [n for n in sorted(state_store_factories()) if n != "memory"]
+    "name", [n for n in STORE_NAMES if n != "memory"]
 )
 @settings(max_examples=8, deadline=None)
 @given(kill=st.integers(min_value=1, max_value=len(TAPE) - 1))

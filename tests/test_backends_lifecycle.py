@@ -14,7 +14,7 @@ The bug sweep along the recovery seams:
   closed by the system that built it; an *instance* handed in by the
   caller stays open (the recovery path depends on reattaching to it);
 * registry specs resolve awkward but legal paths: relative
-  ``sqlite:///`` paths and paths with spaces.
+  ``sqlite:///`` paths and paths with spaces; an empty path is refused.
 """
 
 import os
@@ -200,6 +200,12 @@ class TestRegistryPaths:
             store.close()
         with SQLiteStateStore(str(path)) as reopened:
             assert reopened.load_checkpoint("k") == b"y"
+
+    def test_empty_sqlite_path_is_rejected(self):
+        """``sqlite:///`` would open SQLite's private temporary database,
+        whose checkpoints vanish at close."""
+        with pytest.raises(ValueError, match="'sqlite:///'"):
+            create_state_store("sqlite:///")
 
 
 # ---------------------------------------------------------------------------

@@ -316,3 +316,31 @@ def test_finalize_is_idempotent(parallel_run):
     par.finalize()
     par.finalize()
     assert par.shards[0].transport.total_packets() > 0
+
+
+def test_dead_worker_fails_naming_shard_command_and_exit_code():
+    """A worker killed mid-run must not surface as a bare pipe error:
+    the next barrier names the shard, the command and the exit code."""
+    sim = Simulation()
+    cluster = ParallelShardRunner(
+        sim,
+        shards=2,
+        strip_width=4,
+        config=ServerConfig(seed=SEED, synchronous_delivery=True, mob_count=3),
+        policy_factory=ZeroBoundsPolicy,
+    )
+    cluster.start()
+    try:
+        Workload(sim, cluster, make_spec()).start()
+        sim.run_until(500.0)
+        victim = cluster.shards[1]._process
+        victim.kill()
+        victim.join(timeout=10)
+        assert not victim.is_alive()
+        with pytest.raises(
+            RuntimeError,
+            match=r"^shard 1 worker died during 'tick' \(exit code -9\)$",
+        ):
+            sim.run_until(1_000.0)
+    finally:
+        cluster.shutdown()
