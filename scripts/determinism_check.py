@@ -6,8 +6,8 @@ Usage: [PYTHONPATH=src] python scripts/determinism_check.py [--jobs N]
 Runs a seven-cell sweep — four E1+E9-shaped single-server cells, a
 2-shard cluster cell (S16), its shard-parallel twin (S18; worker
 processes must reproduce the serial cell's result byte-for-byte), and a
-legacy-commit-path cell (S17 toggle off; the default cells all run the
-batched columnar path) — and prints, one per line, each cell's cache
+SQLite-store cell (row-store dyconits run the per-object commit walk;
+the other cells all run the columnar path) — and prints, one per line, each cell's cache
 key (the content-addressed config digest) followed by the sha256 of the
 merged result store. The S18 twin is additionally diffed against the
 serial cell in-process: its traffic totals and handoff counts must be
@@ -63,18 +63,19 @@ def main() -> None:
     # The same cluster cell under the S18 parallel tick runtime: worker
     # processes meeting at the bus barrier must land on the serial bytes.
     cells.append(cells[-1].with_(name="det-cluster-2shard-par", parallel_ticks=True))
-    # The legacy per-object commit path (S17 toggle off) must stay as
-    # deterministic as the batched default the other cells exercise.
+    # Row-store dyconits have no columnar store, so this cell runs the
+    # per-object commit walk; it must stay as deterministic as the
+    # columnar default the other cells exercise.
     cells.append(
         ExperimentConfig(
-            name="det-legacy-commit",
+            name="det-sqlite-store",
             policy="adaptive",
             movement="hotspot",
             bots=4,
             duration_ms=2_000.0,
             warmup_ms=500.0,
             seed=23,
-            use_batched_commit=False,
+            state_store="sqlite",
         )
     )
     for cell in cells:

@@ -195,13 +195,13 @@ class StateStore(abc.ABC):
 
     @abc.abstractmethod
     def create_dyconit_state(
-        self, dyconit_id: Hashable, *, merging: bool, flat: bool
+        self, dyconit_id: Hashable, *, merging: bool
     ) -> DyconitStateHandle:
         """Create (or, for persistent stores, re-attach) a dyconit's state.
 
-        ``flat`` asks for the S17 columnar fast path; a store that has no
-        columnar mode may ignore it — the manager falls back to the
-        legacy per-update commit path whenever ``handle._flat is None``.
+        A handle with a columnar store (``handle._flat``, S17) takes the
+        vectorized commit path; the manager runs the per-update commit
+        walk whenever ``handle._flat is None``.
         """
 
     def drop_dyconit_state(self, dyconit_id: Hashable) -> None:

@@ -210,11 +210,10 @@ class SQLiteStateStore(StateStore):
         return self._conn.execute(sql, params).fetchall()
 
     def create_dyconit_state(
-        self, dyconit_id: Hashable, *, merging: bool, flat: bool
+        self, dyconit_id: Hashable, *, merging: bool
     ) -> "SQLiteDyconitState":
-        # ``flat`` is the S17 columnar fast path — a memory-layout
-        # optimization with no meaning here; the manager's legacy commit
-        # walk drives this handle instead.
+        # Row handles have no columnar store (``_flat is None``), so the
+        # manager's per-update commit walk drives them.
         return SQLiteDyconitState(self, dyconit_id, merging=merging)
 
     def drop_dyconit_state(self, dyconit_id: Hashable) -> None:

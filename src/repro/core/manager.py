@@ -79,7 +79,6 @@ class SystemSnapshot:
     stats: DyconitStats
     policy: Policy
     merging_enabled: bool
-    use_batched_commit: bool
 
 
 class DyconitSystem:
@@ -92,7 +91,6 @@ class DyconitSystem:
         time_source: Callable[[], float] | None = None,
         merging_enabled: bool = True,
         telemetry: Telemetry | None = None,
-        use_batched_commit: bool = True,
         state_store=None,
         event_bus=None,
     ) -> None:
@@ -115,10 +113,6 @@ class DyconitSystem:
         self._closed = False
         #: E8(a) ablation switch; affects dyconits created after the change.
         self.merging_enabled = merging_enabled
-        #: S17 toggle: new dyconits use the flat columnar subscription
-        #: store and the vectorized commit path. Off = legacy per-object
-        #: states, kept as differential ground truth (the PR 2 playbook).
-        self.use_batched_commit = use_batched_commit
         #: Bumped by merge/split/remove so :meth:`commit_many` knows to
         #: re-resolve a cached (dyconit id -> dyconit) run mid-batch.
         self._repartition_epoch = 0
@@ -243,7 +237,6 @@ class DyconitSystem:
             stats=self.stats,
             policy=self.policy,
             merging_enabled=self.merging_enabled,
-            use_batched_commit=self.use_batched_commit,
         )
 
     def restore(self, snap: SystemSnapshot, subscribers: dict[int, Subscriber]) -> None:
@@ -267,7 +260,6 @@ class DyconitSystem:
         if missing:
             raise ValueError(f"no runtime subscriber supplied for ids {missing}")
         self.merging_enabled = snap.merging_enabled
-        self.use_batched_commit = snap.use_batched_commit
         # Adopt the snapshot's policy wholesale: adaptive policies carry
         # tuning state (EWMA baselines, last decisions) that must resume
         # where the captured run left off.
@@ -278,9 +270,7 @@ class DyconitSystem:
             self.register_subscriber(subscribers[sub_id])
         for record in snap.dyconits:
             handle = self.state_store.create_dyconit_state(
-                record.dyconit_id,
-                merging=record.merging,
-                flat=self.use_batched_commit,
+                record.dyconit_id, merging=record.merging
             )
             self._dyconits[record.dyconit_id] = handle
             handle.default_bounds = record.default_bounds
@@ -323,9 +313,7 @@ class DyconitSystem:
         dyconit = self._dyconits.get(dyconit_id)
         if dyconit is None:
             dyconit = self.state_store.create_dyconit_state(
-                dyconit_id,
-                merging=self.merging_enabled,
-                flat=self.use_batched_commit,
+                dyconit_id, merging=self.merging_enabled
             )
             self._dyconits[dyconit_id] = dyconit
             self.stats.dyconits_created += 1

@@ -30,17 +30,6 @@ class ServerConfig:
     #: Deliver packets synchronously (latency still modelled & recorded);
     #: big capacity sweeps enable this to cut simulation overhead.
     synchronous_delivery: bool = False
-    #: Consult the chunk→viewers reverse index on the fan-out paths
-    #: (O(viewers) per event). Off = the brute-force O(players) scans,
-    #: kept for differential tests and the wall-clock benchmark; the two
-    #: are packet-for-packet identical.
-    use_viewer_index: bool = True
-    #: S17 batched commit pipeline: dyconits use the flat columnar
-    #: subscription store, and the engine buffers a tick's bufferable
-    #: commits (moves/blocks/chat) through ``DyconitSystem.commit_many``.
-    #: Off = the legacy per-object commit path, kept as differential
-    #: ground truth; the two are packet-for-packet identical.
-    use_batched_commit: bool = True
     #: S19 storage backend for dyconit subscription state: a registry
     #: spec ("memory", "sqlite", "sqlite:///path", "redis://...").
     #: "memory" is byte-identical to the pre-seam engine; other stores
@@ -63,6 +52,10 @@ class ServerConfig:
             raise ValueError(f"view distance must be >= 1, got {self.view_distance}")
         if self.mob_count < 0:
             raise ValueError(f"mob count must be >= 0, got {self.mob_count}")
+        if self.mob_step_ticks < 1:
+            raise ValueError(
+                f"mob step period must be >= 1 tick, got {self.mob_step_ticks}"
+            )
         if self.audit_every_n_ticks < 0:
             raise ValueError(
                 f"audit period must be >= 0 ticks, got {self.audit_every_n_ticks}"

@@ -96,12 +96,9 @@ class GameServer:
         )
         self.codec = SessionCodec(self.world)
         self.interest = InterestManager(self)
-        #: Reverse chunk→viewers / entity→knowers maps; always maintained
-        #: (the upkeep is O(view diff)), consulted by the fan-out paths
-        #: unless ``config.use_viewer_index`` is off (differential tests
-        #: and the wall-clock benchmark run the brute-force scans).
+        #: Reverse chunk→viewers / entity→knowers maps, maintained at
+        #: O(view diff) and consulted by the fan-out paths.
         self.viewers = ViewerIndex()
-        self.use_viewer_index = self.config.use_viewer_index
         self.cost_model = TickCostModel(self.config.cost)
         self.metrics = MetricsRegistry()
         #: Checked mode (S15): audit the cross-structure invariants every
@@ -117,9 +114,8 @@ class GameServer:
         else:
             self._auditor = None
 
-        #: S17: columnar dyconit state + per-burst commit batching.
-        self.use_batched_commit = self.config.use_batched_commit
-        #: Non-None only inside a commit-batching scope: pending
+        #: S17 per-burst commit batching: non-None only inside a
+        #: commit-batching scope, holding pending
         #: ``(dyconit_id, update, exclude)`` triples for ``commit_many``.
         self._commit_buffer: list | None = None
         self.dyconits: DyconitSystem | None = None
@@ -131,7 +127,6 @@ class GameServer:
                 partitioner if partitioner is not None else ChunkPartitioner(),
                 time_source=lambda: sim.now,
                 telemetry=self.telemetry,
-                use_batched_commit=self.use_batched_commit,
                 state_store=self.config.state_store,
             )
         #: S19 control plane: when attached, queued retune ops are applied
@@ -341,11 +336,7 @@ class GameServer:
         the unbuffered path would have issued — only the per-commit
         resolve/lookup overhead is amortized. Reentrant scopes no-op.
         """
-        if (
-            self.dyconits is None
-            or not self.use_batched_commit
-            or self._commit_buffer is not None
-        ):
+        if self.dyconits is None or self._commit_buffer is not None:
             yield
             return
         self._commit_buffer = []
@@ -434,29 +425,12 @@ class GameServer:
         sessions that actually view the event's chunk — O(viewers), not
         O(players). Chunk-less events (chat) keep the full-broadcast path.
         """
-        if not self.use_viewer_index:
-            return self._broadcast_direct_scan(event, exclude)
         chunk = event.chunk_pos
         sessions = (
             self.sessions.values() if chunk is None else self.viewers.viewers(chunk)
         )
         for session in sessions:
             if session.client_id == exclude:
-                continue
-            packets = self.codec.encode(session, [event])
-            if packets:
-                self.send_packets(session, packets)
-
-    def _broadcast_direct_scan(self, event: WorldEvent, exclude: int | None) -> None:
-        """Brute-force reference for :meth:`_broadcast_direct`: scan every
-        session and filter by ``sees_chunk``. Kept (and differentially
-        tested) as the ground truth the indexed path must match
-        packet-for-packet."""
-        chunk = event.chunk_pos
-        for session in self.sessions.values():
-            if session.client_id == exclude:
-                continue
-            if chunk is not None and not session.sees_chunk(chunk):
                 continue
             packets = self.codec.encode(session, [event])
             if packets:

@@ -24,6 +24,14 @@ The contract is *the in-memory semantics*, bit-for-bit:
   invariant auditor watching);
 * and a scripted lockstep differential against the in-memory store at
   both the handle level and the full :class:`DyconitSystem` level.
+
+The handle-level tests drive subscription states directly
+(``state.enqueue``/``drain``), the per-object protocol the row stores
+implement. The registry's memory store hands out columnar dyconits,
+which only the manager's batched commit path drives, so the ``memory``
+parametrisation and every in-memory reference here use the per-object
+:class:`~tests.reference_paths.LegacyStateStore` instead. The columnar
+store is held to that same reference by :mod:`tests.test_flat_commit`.
 """
 
 import math
@@ -35,7 +43,6 @@ from hypothesis import strategies as st
 
 from repro.backends import BackendUnavailable, postgres_store, state_store_factories
 from repro.backends.base import snapshot_subscription
-from repro.backends.memory import InMemoryStateStore
 from repro.core.bounds import Bounds
 from repro.core.invariants import InvariantAuditor
 from repro.core.manager import DyconitSystem
@@ -46,6 +53,7 @@ from repro.world.events import BlockChangeEvent, EntityMoveEvent
 from repro.world.geometry import BlockPos, Vec3
 
 from tests.conftest import RecordingSubscriber
+from tests.reference_paths import LegacyStateStore
 
 WIDE = Bounds(1e9, 1e9)
 
@@ -105,6 +113,8 @@ def fresh_store(name):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(postgres_store, "_connect", _pg_shim_connect)
                 store = postgres_store.PostgresStateStore(namespace="shim")
+        elif name == "memory":
+            store = LegacyStateStore()
         else:
             store = state_store_factories()[name]()
     except BackendUnavailable as exc:
@@ -121,8 +131,8 @@ def store(request):
     store.close()
 
 
-def make_handle(store, dyconit_id=("chunk", 0, 0), merging=True, flat=False):
-    return store.create_dyconit_state(dyconit_id, merging=merging, flat=flat)
+def make_handle(store, dyconit_id=("chunk", 0, 0), merging=True):
+    return store.create_dyconit_state(dyconit_id, merging=merging)
 
 
 def subscribed(handle, subscriber_id=1, bounds=WIDE):
@@ -383,9 +393,9 @@ def observables(state, now=10.0):
 
 class TestLockstepDifferential:
     def test_handle_matches_memory_after_every_op(self, store):
-        if isinstance(store, InMemoryStateStore):
+        if isinstance(store, LegacyStateStore):
             pytest.skip("memory is the reference")
-        reference_store = InMemoryStateStore()
+        reference_store = LegacyStateStore()
         for merging in (True, False):
             ref = make_handle(reference_store, ("d", merging), merging=merging)
             handle = make_handle(store, ("d", merging), merging=merging)
@@ -412,7 +422,7 @@ class TestLockstepDifferential:
         """Same scenario through two DyconitSystems — commits, bound
         retunes, merge, split — delivering identical streams with the
         invariant auditor at every step."""
-        if isinstance(store, InMemoryStateStore):
+        if isinstance(store, LegacyStateStore):
             pytest.skip("memory is the reference")
         auditor = InvariantAuditor()
         clock = {"now": 0.0}
@@ -635,7 +645,7 @@ def _restart_into_fresh_instance(name, store, handle, states, recorders):
     }
     store.close()
     reborn = fresh_store(name)
-    new_handle = reborn.create_dyconit_state(("d", "restart"), merging=True, flat=False)
+    new_handle = reborn.create_dyconit_state(("d", "restart"), merging=True)
     new_states = {
         sub_id: new_handle.restore_subscription(recorders[sub_id].subscriber, snap)
         for sub_id, snap in snaps.items()
@@ -670,8 +680,8 @@ class TestRestartConformance:
         state.enqueue(move(1, time=3.0, distance=0.5))
         snap = snapshot_subscription(state)
 
-        other = InMemoryStateStore()
-        new_handle = other.create_dyconit_state(("d", "bits"), merging=True, flat=False)
+        other = LegacyStateStore()
+        new_handle = other.create_dyconit_state(("d", "bits"), merging=True)
         restored = new_handle.restore_subscription(recorder.subscriber, snap)
         assert observables(restored) == observables(state)
         assert restored.accumulated_error == 2.5  # not 0.5
@@ -699,16 +709,12 @@ class TestRestartConformance:
 
     @staticmethod
     def _run_killed_tape(name, kill):
-        ref_store = InMemoryStateStore()
-        ref_handle = ref_store.create_dyconit_state(
-            ("d", "restart"), merging=True, flat=False
-        )
+        ref_store = LegacyStateStore()
+        ref_handle = ref_store.create_dyconit_state(("d", "restart"), merging=True)
         ref_states, ref_recorders = {}, {}
 
         store = fresh_store(name)
-        handle = store.create_dyconit_state(
-            ("d", "restart"), merging=True, flat=False
-        )
+        handle = store.create_dyconit_state(("d", "restart"), merging=True)
         states, recorders = {}, {}
 
         for position, entry in enumerate(TAPE):

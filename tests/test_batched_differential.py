@@ -1,10 +1,9 @@
 """Differential: S17 batched commit pipeline ≡ legacy per-object path.
 
-The safety contract for the columnar commit engine is the PR 2 playbook:
-the legacy per-object path stays in the tree as ground truth, and a run
-with ``use_batched_commit=True`` must be *packet-for-packet identical*
-to the same seeded run with the toggle off — under a real bounded
-policy (so queues actually merge and flush), over 2,000 ticks, on a
+The safety contract for the columnar commit engine: a default run must
+be *packet-for-packet identical* to the same seeded run on the legacy
+per-object path (kept as ground truth in :mod:`tests.reference_paths`)
+— under a real bounded policy (so queues actually merge and flush), over 2,000 ticks, on a
 single server AND on a 2-shard cluster, with checked-mode audits (which
 include the I9 columnar checks) sampling both runs.
 
@@ -22,6 +21,12 @@ from repro.server.config import ServerConfig
 from repro.server.engine import GameServer
 from repro.sim.simulator import Simulation
 from repro.world.world import World
+
+from tests.reference_paths import (
+    LegacyGameServer,
+    has_columnar_dyconits,
+    make_legacy_cluster,
+)
 
 SEED = 77
 TICKS = 2_000
@@ -46,12 +51,11 @@ def make_spec(movement="hotspot"):
     )
 
 
-def make_config(use_batched: bool) -> ServerConfig:
+def make_config() -> ServerConfig:
     return ServerConfig(
         seed=SEED,
         synchronous_delivery=True,
         mob_count=3,
-        use_batched_commit=use_batched,
         audit_every_n_ticks=AUDIT_EVERY,
     )
 
@@ -75,10 +79,11 @@ def tap(server):
 
 def run_single(use_batched: bool):
     sim = Simulation()
-    server = GameServer(
+    server_cls = GameServer if use_batched else LegacyGameServer
+    server = server_cls(
         sim,
         world=World(seed=SEED),
-        config=make_config(use_batched),
+        config=make_config(),
         policy=FixedBoundsPolicy(BOUNDS),
     )
     server.start()
@@ -91,11 +96,12 @@ def run_single(use_batched: bool):
 
 def run_cluster(use_batched: bool):
     sim = Simulation()
-    cluster = ShardedCluster(
+    make_cluster = ShardedCluster if use_batched else make_legacy_cluster
+    cluster = make_cluster(
         sim,
         shards=2,
         strip_width=4,
-        config=make_config(use_batched),
+        config=make_config(),
         policy_factory=lambda: FixedBoundsPolicy(BOUNDS),
     )
     cluster.start()
@@ -112,19 +118,15 @@ def assert_streams_equal(legacy: dict, batched: dict) -> None:
         assert legacy[name] == batched[name], f"packet stream diverged for {name}"
 
 
-def uses_flat_store(system) -> bool:
-    return any(dyconit._flat is not None for dyconit in system._dyconits.values())
-
-
 def test_single_server_2k_ticks_packet_identical():
     legacy, legacy_server = run_single(use_batched=False)
     batched, batched_server = run_single(use_batched=True)
 
     assert legacy_server.tick_count >= TICKS
-    # Non-vacuity: the toggled run really took the columnar path (and
-    # the baseline really did not).
-    assert uses_flat_store(batched_server.dyconits)
-    assert not uses_flat_store(legacy_server.dyconits)
+    # Non-vacuity: the default run really took the columnar path (and
+    # the reference really did not).
+    assert has_columnar_dyconits(batched_server.dyconits)
+    assert not has_columnar_dyconits(legacy_server.dyconits)
 
     assert_streams_equal(legacy, batched)
     assert (
@@ -146,7 +148,10 @@ def test_two_shard_cluster_2k_ticks_packet_identical():
     batched, batched_cluster = run_cluster(use_batched=True)
 
     assert any(
-        uses_flat_store(shard.dyconits) for shard in batched_cluster.shards
+        has_columnar_dyconits(shard.dyconits) for shard in batched_cluster.shards
+    )
+    assert not any(
+        has_columnar_dyconits(shard.dyconits) for shard in legacy_cluster.shards
     )
 
     assert_streams_equal(legacy, batched)

@@ -22,6 +22,7 @@ from repro.world.events import EntityMoveEvent
 from repro.world.geometry import Vec3
 
 from tests.conftest import RecordingSubscriber
+from tests.reference_paths import LegacyStateStore
 
 
 class StaticPolicy(Policy):
@@ -60,7 +61,7 @@ def system(clock):
 
 @pytest.fixture
 def legacy_system(clock):
-    """Per-object subscription states (S17 toggle off).
+    """Per-object subscription states (the test-only reference store).
 
     The I4 corruption tests reach into ``SubscriptionState`` fields;
     through a columnar view those writes land on materialized copies, so
@@ -71,7 +72,7 @@ def legacy_system(clock):
         StaticPolicy(),
         ChunkPartitioner(),
         time_source=lambda: clock["now"],
-        use_batched_commit=False,
+        state_store=LegacyStateStore(),
     )
 
 
@@ -239,7 +240,10 @@ def _pending_state(system, rec):
     system.subscribe(CHUNK_A, rec.subscriber)
     system.commit_to(CHUNK_A, move(1, time=5.0))
     system.commit_to(CHUNK_A, move(2, time=7.0, x=3.0))
-    return system.get(CHUNK_A).get_state(rec.subscriber.subscriber_id)
+    dyconit = system.get(CHUNK_A)
+    # The sabotage below must land on a real per-object state.
+    assert dyconit._flat is None
+    return dyconit.get_state(rec.subscriber.subscriber_id)
 
 
 def test_i4_detects_unzeroed_empty_queue(legacy_system, auditor):

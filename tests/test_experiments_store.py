@@ -1,7 +1,7 @@
 """Round-trip tests for experiment result persistence."""
 
 from repro.core.bounds import Bounds
-from repro.experiments.configs import ExperimentConfig
+from repro.experiments.configs import ExperimentConfig, config_from_dict, config_to_dict
 from repro.experiments.runner import run_experiment
 from repro.experiments.store import load_results, result_from_dict, result_to_dict, save_results
 
@@ -98,3 +98,19 @@ def test_pre_sharding_payloads_load_with_single_server_defaults():
     assert rebuilt.handoffs == 0
     assert rebuilt.intershard_bytes == 0
     assert rebuilt.shard_tick_p95_ms == []
+
+
+def test_archived_config_with_retired_batched_commit_toggle_loads():
+    # Stores written while the per-object commit path was still a config
+    # toggle carry a "use_batched_commit" key; both of its settings gave
+    # identical packets, so loading simply drops it.
+    config = ExperimentConfig(policy="fixed", fixed_bounds=Bounds(5.0, 400.0), seed=13)
+    archived = config_to_dict(config)
+    archived["use_batched_commit"] = False
+    assert config_from_dict(archived) == config
+
+    payload = result_to_dict(small_result())
+    payload["config"]["use_batched_commit"] = True
+    rebuilt = result_from_dict(payload)
+    assert "use_batched_commit" not in config_to_dict(rebuilt.config)
+    assert rebuilt.config.seed == 13

@@ -27,6 +27,7 @@ from repro.world.events import EntityMoveEvent
 from repro.world.geometry import Vec3
 
 from tests.conftest import RecordingSubscriber
+from tests.reference_paths import LegacyStateStore, has_columnar_dyconits
 
 
 class StaticPolicy(Policy):
@@ -114,7 +115,7 @@ def run_tape(ops: list[tuple], use_batched: bool):
         StaticPolicy(Bounds(50.0, 1000.0)),
         ChunkPartitioner(),
         time_source=lambda: clock["now"],
-        use_batched_commit=use_batched,
+        state_store=None if use_batched else LegacyStateStore(),
     )
     recs = {sid: RecordingSubscriber(subscriber_id=sid) for sid in (1, 2, 3)}
     for op in ops:
@@ -174,6 +175,7 @@ def test_differential_flat_vs_legacy(seed):
     ops = make_op_tape(seed)
     flat_system, flat_recs = run_tape(ops, use_batched=True)
     legacy_system, legacy_recs = run_tape(ops, use_batched=False)
+    assert not has_columnar_dyconits(legacy_system)
     for sid in (1, 2, 3):
         assert flat_recs[sid].deliveries == legacy_recs[sid].deliveries
     assert flat_system.stats == legacy_system.stats
@@ -194,7 +196,7 @@ def test_differential_with_merging_disabled(seed):
             StaticPolicy(Bounds(50.0, 1000.0)),
             ChunkPartitioner(),
             time_source=lambda: clock["now"],
-            use_batched_commit=use_batched,
+            state_store=None if use_batched else LegacyStateStore(),
             merging_enabled=False,
         )
         recs = {sid: RecordingSubscriber(subscriber_id=sid) for sid in (1, 2, 3)}
@@ -225,6 +227,7 @@ def test_differential_with_merging_disabled(seed):
 
     flat_system, flat_recs = run(True)
     legacy_system, legacy_recs = run(False)
+    assert not has_columnar_dyconits(legacy_system)
     for sid in (1, 2, 3):
         assert flat_recs[sid].deliveries == legacy_recs[sid].deliveries
     assert flat_system.stats == legacy_system.stats
@@ -469,7 +472,7 @@ def test_hotness_counts_only_received_commits(clock, use_batched):
         StaticPolicy(Bounds(math.inf, math.inf)),
         ChunkPartitioner(),
         time_source=lambda: clock["now"],
-        use_batched_commit=use_batched,
+        state_store=None if use_batched else LegacyStateStore(),
     )
     system.commit_to(CHUNK_A, move(1, 0.0, 2.0))  # nobody subscribed
     assert system.get(CHUNK_A).commit_count == 0
@@ -482,6 +485,7 @@ def test_hotness_counts_only_received_commits(clock, use_batched):
     assert system.get(CHUNK_A).total_committed_weight == move(1, 0.0, 2.0).weight
     # stats.commits still counts every attempt — it measures load, not heat.
     assert system.stats.commits == 3
+    assert has_columnar_dyconits(system) == use_batched
 
 
 def test_stats_dataclass_unchanged_fields():
@@ -614,7 +618,7 @@ def test_hypothesis_stalled_cursor_stays_bounded_and_exact(tape):
                 StaticPolicy(Bounds(math.inf, math.inf)),
                 ChunkPartitioner(),
                 time_source=lambda: clock["now"],
-                use_batched_commit=use_batched,
+                state_store=None if use_batched else LegacyStateStore(),
             )
             recs = {sid: RecordingSubscriber(subscriber_id=sid) for sid in (1, 2, 3)}
             for sid in (1, 2, 3):
@@ -632,6 +636,8 @@ def test_hypothesis_stalled_cursor_stays_bounded_and_exact(tape):
 
         flat_system, flat_recs = run(True)
         legacy_system, legacy_recs = run(False)
+        assert not has_columnar_dyconits(legacy_system)
+        assert has_columnar_dyconits(flat_system)
         for sid in (1, 2, 3):
             assert flat_recs[sid].deliveries == legacy_recs[sid].deliveries
         assert flat_system.stats == legacy_system.stats

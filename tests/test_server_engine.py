@@ -10,6 +10,7 @@ from repro.net.protocol import (
     SpawnEntityPacket,
 )
 from repro.policies.zero import ZeroBoundsPolicy
+from repro.server.config import ServerConfig
 from repro.world.block import BlockType
 from repro.world.geometry import BlockPos, Vec3
 
@@ -30,6 +31,27 @@ class Client:
 def test_server_requires_policy_unless_direct(sim, server_factory):
     with pytest.raises(ValueError):
         server_factory(policy=None, direct_mode=False)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"tick_interval_ms": 0.0}, "tick interval"),
+        ({"view_distance": 0}, "view distance"),
+        ({"mob_count": -1}, "mob count"),
+        ({"mob_count": 2, "mob_step_ticks": 0}, "mob step period .* got 0"),
+        ({"audit_every_n_ticks": -1}, "audit period"),
+    ],
+)
+def test_server_config_rejects_invalid_values(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        ServerConfig(**kwargs)
+
+
+@pytest.mark.parametrize("retired", ["use_viewer_index", "use_batched_commit"])
+def test_server_config_has_no_fan_out_or_commit_path_toggles(retired):
+    with pytest.raises(TypeError):
+        ServerConfig(**{retired: False})
 
 
 def test_connect_sends_join_and_initial_view(sim, server_factory):
