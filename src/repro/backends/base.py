@@ -10,8 +10,9 @@ deployable service:
   the surface documented on :class:`DyconitStateHandle`. The in-memory
   store hands back today's ``Dyconit`` objects unchanged, so the default
   path is byte-identical to the pre-seam tree; the SQLite store hands
-  back handles whose queues live in a database, and Redis/Postgres
-  adapters slot in the same way.
+  back handles whose queues live in a database, and the Postgres
+  adapter reuses them. The Redis adapter keeps the memory store's
+  dyconits and persists only checkpoint blobs.
 
 * :class:`EventBus` — the delivery edge of a flush. The manager's
   ``_deliver`` publishes ``(dyconit id, subscriber, updates)`` to the
@@ -78,7 +79,7 @@ def snapshot_subscription(state) -> SubscriptionSnapshot:
     """Capture one subscription state through the common surface.
 
     Works on every backend's state object (``SubscriptionState``, the
-    SQLite/Redis/Postgres row views, columnar flat views) because the
+    SQLite/Postgres row views, columnar flat views) because the
     contract suite already requires all of them to expose these exact
     attributes.
     """
@@ -210,12 +211,13 @@ class StateStore(abc.ABC):
     def reset(self) -> None:
         """Delete every dyconit row this store can see (checkpoints stay).
 
-        Persistent/shared backends (a file, a Redis or Postgres server)
-        may hold rows from an earlier run under the same namespace; the
+        Persistent/shared backends (a file, a Postgres server) may hold
+        rows from an earlier run under the same namespace; the
         restore path wipes them before replaying a checkpoint so stale
         rows — including rows written *after* the checkpoint by a run
         that was later killed — can never leak into the resumed run.
-        The in-memory store starts empty, so the default is a no-op.
+        Stores that keep dyconit state in process (memory, Redis) start
+        empty, so the default is a no-op.
         """
 
     def save_checkpoint(self, key: str, blob: bytes) -> None:

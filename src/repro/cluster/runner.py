@@ -833,6 +833,28 @@ class ParallelShardRunner(ShardedCluster):
                 event.cancel()
                 self._tick_events[shard_id] = None
 
+    def close(self) -> None:
+        """Stop the runner and shut its workers down (idempotent, and
+        safe after :meth:`finalize`)."""
+        self.stop()
+        self.shutdown()
+
+    @property
+    def control_plane(self) -> None:
+        return None
+
+    @control_plane.setter
+    def control_plane(self, control) -> None:
+        # The pump never applies queued ops here: worker shards cannot
+        # be retuned, so an attached gateway would accept retunes that
+        # never take effect.
+        if control is not None:
+            raise ValueError(
+                f"{type(self).__name__} cannot take a control plane: its "
+                "shards tick in worker processes that the pump does not "
+                "retune; attach the gateway to a serial ShardedCluster"
+            )
+
     def shutdown(self) -> None:
         """Terminate the worker processes (idempotent)."""
         for handle in self.shards:

@@ -138,8 +138,6 @@ class DyconitSystem:
         self._heap_seq = 0
         self._last_policy_evaluation = -math.inf
         self.stats = DyconitStats()
-        #: Optional DyconitTracer recording middleware decisions.
-        self.tracer = None
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         # Metric handles are resolved once here so the commit/flush hot
         # paths never pay a registry lookup; a disabled hub keeps them
@@ -380,10 +378,7 @@ class DyconitSystem:
             self._alias_sources.setdefault(target_id, {})[source_id] = None
             if self.telemetry.enabled:
                 self.telemetry.counter("dyconit_merges_total").increment()
-            if self.tracer is not None:
-                self.tracer.record(
-                    self.now, "merge", source_id, detail=f"into {target_id!r}"
-                )
+                self._trace("merge", source_id, detail=f"into {target_id!r}")
             source = self._dyconits.pop(source_id, None)
             if source is None:
                 continue
@@ -445,10 +440,7 @@ class DyconitSystem:
             del self._aliases[source_id]
             if self.telemetry.enabled:
                 self.telemetry.counter("dyconit_splits_total").increment()
-            if self.tracer is not None:
-                self.tracer.record(
-                    self.now, "split", source_id, detail=f"out of {target_id!r}"
-                )
+                self._trace("split", source_id, detail=f"out of {target_id!r}")
         target = self._dyconits.get(target_id)
         if target is not None:
             for state in target.subscription_states():
@@ -569,9 +561,9 @@ class DyconitSystem:
         state = dyconit.get_state(subscriber_id)
         if state is None:
             return
-        if self.tracer is not None:
-            self.tracer.record(
-                self.now, "bounds", dyconit_id, subscriber_id,
+        if self.telemetry.enabled:
+            self._trace(
+                "bounds", dyconit_id, subscriber_id,
                 detail=f"numerical={bounds.numerical:g} staleness={bounds.staleness_ms:g}",
             )
         self._apply_bounds(dyconit_id, state, bounds)
@@ -801,6 +793,23 @@ class DyconitSystem:
                 if state.has_pending:
                     self._deliver(dyconit_id, state, reason="forced")
 
+    def _trace(
+        self,
+        kind: str,
+        dyconit_id: Hashable,
+        subscriber_id: int | None = None,
+        detail: str = "",
+    ) -> None:
+        """Record one middleware decision (flush reason, bound change,
+        merge/split) on the hub; callers check ``telemetry.enabled``."""
+        self.telemetry.counter("trace_events_total", kind=kind).increment()
+        self.telemetry.event(
+            "trace." + kind,
+            dyconit=repr(dyconit_id),
+            subscriber="" if subscriber_id is None else str(subscriber_id),
+            detail=detail,
+        )
+
     def _deliver(
         self, dyconit_id: Hashable, state: SubscriptionState, reason: str
     ) -> None:
@@ -823,12 +832,11 @@ class DyconitSystem:
             self._tm_delivered.increment(len(updates))
             self._tm_batch_size.record(len(updates))
             self.telemetry.counter("dyconit_flushes_total", reason=reason).increment()
+            self._trace(
+                "flush", dyconit_id, state.subscriber.subscriber_id,
+                detail=f"reason={reason} updates={len(updates)}",
+            )
         for update in updates:
             self.stats.queue_delay_total_ms += max(0.0, now - update.time)
             self.stats.queue_delay_samples += 1
-        if self.tracer is not None:
-            self.tracer.record(
-                now, "flush", dyconit_id, state.subscriber.subscriber_id,
-                detail=f"reason={reason} updates={len(updates)}",
-            )
         self.event_bus.publish(dyconit_id, state.subscriber, updates)

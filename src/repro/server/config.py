@@ -32,8 +32,9 @@ class ServerConfig:
     synchronous_delivery: bool = False
     #: S19 storage backend for dyconit subscription state: a registry
     #: spec ("memory", "sqlite", "sqlite:///path", "redis://...").
-    #: "memory" is byte-identical to the pre-seam engine; other stores
-    #: route through the legacy per-object commit path.
+    #: "memory" and Redis (a checkpoint sink over the memory store's
+    #: columnar dyconits) take the columnar commit path; the SQL row
+    #: stores route through the per-object commit walk.
     state_store: str = "memory"
     #: Fleet-wide fault plan applied to every client link (None = no
     #: fault layer; per-client plans can be passed to ``connect``).

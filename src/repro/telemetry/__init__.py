@@ -16,7 +16,6 @@ Every component defaults to the shared :data:`NULL_TELEMETRY` hub, whose
 attribute check when observability is off.
 """
 
-from repro.telemetry.bridge import TelemetryTracer, install_tracer
 from repro.telemetry.exporters import (
     export_jsonl,
     export_prometheus,
@@ -44,8 +43,6 @@ __all__ = [
     "set_telemetry",
     "TickPhaseProfiler",
     "TICK_PHASES",
-    "TelemetryTracer",
-    "install_tracer",
     "export_jsonl",
     "export_prometheus",
     "prometheus_text",

@@ -5,10 +5,11 @@ One contract, every registered backend: each test runs against every
 event-bus tests against every bus), so a new adapter is under the full
 contract the moment it registers. Backends whose driver or service is
 absent in this environment (e.g. Redis without ``REPRO_REDIS_URL``)
-raise :class:`BackendUnavailable` and skip — honestly, per test. One
-extra parametrisation, ``postgres-shim``, runs the Postgres adapter
-itself over a sqlite3 DB-API shim, so its SQL path is under the
-contract without a server.
+raise :class:`BackendUnavailable` and skip — honestly, per test. Two
+extra parametrisations run adapters without a server: ``postgres-shim``
+runs the Postgres adapter itself over a sqlite3 DB-API shim, so its SQL
+path is under the contract, and ``redis-shim`` runs the Redis checkpoint
+sink over the in-process fake in :mod:`tests.redis_shim`.
 
 The contract is *the in-memory semantics*, bit-for-bit:
 
@@ -27,21 +28,31 @@ The contract is *the in-memory semantics*, bit-for-bit:
 
 The handle-level tests drive subscription states directly
 (``state.enqueue``/``drain``), the per-object protocol the row stores
-implement. The registry's memory store hands out columnar dyconits,
-which only the manager's batched commit path drives, so the ``memory``
-parametrisation and every in-memory reference here use the per-object
+implement, so they run over the row stores only. The registry's memory
+store hands out columnar dyconits, which only the manager's batched
+commit path drives, so the ``memory`` parametrisation and every
+in-memory reference here use the per-object
 :class:`~tests.reference_paths.LegacyStateStore` instead. The columnar
 store is held to that same reference by :mod:`tests.test_flat_commit`.
+Redis keeps no rows: it is a checkpoint sink over the memory store's
+columnar dyconits, so it joins the system- and engine-level
+differentials and the checkpoint contract, which every store passes.
 """
 
-import math
+import os
 import sqlite3
+import uuid
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import BackendUnavailable, postgres_store, state_store_factories
+from repro.backends import (
+    BackendUnavailable,
+    postgres_store,
+    redis_store,
+    state_store_factories,
+)
 from repro.backends.base import snapshot_subscription
 from repro.core.bounds import Bounds
 from repro.core.invariants import InvariantAuditor
@@ -52,6 +63,7 @@ from repro.world.block import BlockType
 from repro.world.events import BlockChangeEvent, EntityMoveEvent
 from repro.world.geometry import BlockPos, Vec3
 
+from tests import redis_shim
 from tests.conftest import RecordingSubscriber
 from tests.reference_paths import LegacyStateStore
 
@@ -88,31 +100,45 @@ class _PgShimConnection(sqlite3.Connection):
         return super().cursor(factory)
 
 
-def _pg_shim_connect(url):
-    return sqlite3.connect(":memory:", isolation_level=None, factory=_PgShimConnection)
+def _pg_shim_connect(url, database=":memory:"):
+    return sqlite3.connect(database, isolation_level=None, factory=_PgShimConnection)
 
 
 #: The Postgres adapter run without a server: ``PostgresStateStore`` with
 #: its own DDL, table namespace, cursor helpers and checkpoint upsert,
 #: over a DB-API shim on sqlite3 in place of the driver connection.
 POSTGRES_SHIM = "postgres-shim"
-STORE_NAMES = sorted(state_store_factories()) + [POSTGRES_SHIM]
+#: The Redis checkpoint sink run without a server, over
+#: :class:`tests.redis_shim.FakeRedis` in place of the client.
+REDIS_SHIM = "redis-shim"
+STORE_NAMES = sorted(state_store_factories()) + [POSTGRES_SHIM, REDIS_SHIM]
+#: Stores whose handles expose per-object subscription states, which the
+#: handle-level tests drive; Redis keeps no rows and is not among them.
+ROW_STORE_NAMES = [
+    name for name in STORE_NAMES if name not in ("redis", REDIS_SHIM)
+]
+
+
+def open_redis_shim(host, url="redis://shim"):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(redis_store, "_connect", host.connect)
+        return redis_store.RedisStateStore(url=url)
 
 
 def fresh_store(name):
     """Build one store instance, skipping unavailable backends.
 
-    ``reset()`` guards against shared-namespace pollution: a Redis or
-    Postgres factory points at a *service*, so rows left by an earlier
-    crashed test run (or a parallel suite) would otherwise leak into
-    this one. Checkpoints survive reset by design, so stored restart
-    snapshots are wiped explicitly too.
+    ``reset()`` guards against shared-namespace pollution: a Postgres
+    factory points at a *service*, so rows left by an earlier crashed
+    test run (or a parallel suite) would otherwise leak into this one.
     """
     try:
         if name == POSTGRES_SHIM:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(postgres_store, "_connect", _pg_shim_connect)
                 store = postgres_store.PostgresStateStore(namespace="shim")
+        elif name == REDIS_SHIM:
+            store = open_redis_shim(redis_shim.FakeRedisHost())
         elif name == "memory":
             store = LegacyStateStore()
         else:
@@ -123,9 +149,17 @@ def fresh_store(name):
     return store
 
 
-@pytest.fixture(params=STORE_NAMES)
+@pytest.fixture(params=ROW_STORE_NAMES)
 def store(request):
-    """Every registered state store, skipping the unavailable ones."""
+    """Every row store, skipping the unavailable ones."""
+    store = fresh_store(request.param)
+    yield store
+    store.close()
+
+
+@pytest.fixture(params=STORE_NAMES)
+def any_store(request):
+    """Every registered store plus both shims, skipping the unavailable."""
     store = fresh_store(request.param)
     yield store
     store.close()
@@ -418,10 +452,11 @@ class TestLockstepDifferential:
                 for ref_state, backend_state in states.values():
                     assert observables(backend_state) == observables(ref_state)
 
-    def test_system_level_differential_with_repartitioning(self, store):
+    def test_system_level_differential_with_repartitioning(self, any_store):
         """Same scenario through two DyconitSystems — commits, bound
         retunes, merge, split — delivering identical streams with the
         invariant auditor at every step."""
+        store = any_store
         if isinstance(store, LegacyStateStore):
             pytest.skip("memory is the reference")
         auditor = InvariantAuditor()
@@ -594,7 +629,7 @@ def test_engine_packets_identical_to_memory(name):
     if name == "memory":
         pytest.skip("memory is the reference")
     try:
-        if name == POSTGRES_SHIM:
+        if name in (POSTGRES_SHIM, REDIS_SHIM):
             with fresh_store(name) as store:
                 backend = run_engine_capture(store)
         else:
@@ -699,7 +734,7 @@ class TestRestartConformance:
         hypothesis schedule below samples kill points, this pins one
         deep mid-tape kill (right after the mid-tape re-subscription)
         for every backend, deterministically."""
-        for name in STORE_NAMES:
+        for name in ROW_STORE_NAMES:
             if name == "memory":
                 continue
             try:
@@ -742,7 +777,7 @@ class TestRestartConformance:
 
 
 @pytest.mark.parametrize(
-    "name", [n for n in STORE_NAMES if n != "memory"]
+    "name", [n for n in ROW_STORE_NAMES if n != "memory"]
 )
 @settings(max_examples=8, deadline=None)
 @given(kill=st.integers(min_value=1, max_value=len(TAPE) - 1))
@@ -750,3 +785,84 @@ def test_restart_kill_point_schedule(name, kill):
     """Hypothesis-sampled kill points over the scripted tape: the
     restart contract holds no matter where the process dies."""
     TestRestartConformance._run_killed_tape(name, kill)
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint contract (S20): the one surface restart reads, on every store
+# ---------------------------------------------------------------------------
+
+
+def checkpoint_opener(name, tmp_path):
+    """A zero-arg opener whose instances share one backing store.
+
+    Each case gets a backing store of its own: a temporary file, a fresh
+    fake Redis host, or a fresh namespace on a live server. The memory store has
+    no backing store, so each of its instances starts empty.
+    """
+    fresh = f"ck{uuid.uuid4().hex[:12]}"
+    if name == "sqlite":
+        path = os.path.join(tmp_path, "checkpoints.db")
+        return lambda: state_store_factories()["sqlite"](path)
+    if name == POSTGRES_SHIM:
+        path = os.path.join(tmp_path, "checkpoints.db")
+
+        def open_pg_shim():
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(
+                    postgres_store, "_connect",
+                    lambda url: _pg_shim_connect(url, database=path),
+                )
+                return postgres_store.PostgresStateStore(namespace="shim")
+
+        return open_pg_shim
+    if name == REDIS_SHIM:
+        host = redis_shim.FakeRedisHost()
+        return lambda: open_redis_shim(host)
+    if name in ("redis", "postgres"):
+        return lambda: state_store_factories()[name](namespace=fresh)
+    return state_store_factories()[name]
+
+
+@pytest.mark.parametrize("name", STORE_NAMES)
+def test_checkpoint_contract(name, tmp_path):
+    opener = checkpoint_opener(name, str(tmp_path))
+    try:
+        store = opener()
+    except BackendUnavailable as exc:
+        pytest.skip(f"{name}: {exc}")
+    assert store.checkpoint_keys() == []
+    assert store.load_checkpoint("a") is None
+    store.save_checkpoint("a", b"first")
+    store.save_checkpoint("b", b"\x00second")
+    assert store.load_checkpoint("a") == b"first"
+    assert store.load_checkpoint("b") == b"\x00second"
+    # An overwrite swaps the blob but keeps the key's first-save place.
+    store.save_checkpoint("a", b"third")
+    assert store.load_checkpoint("a") == b"third"
+    assert store.checkpoint_keys() == ["a", "b"]
+    assert store.load_checkpoint("missing") is None
+    # Restore wipes dyconit state through reset(); checkpoints stay.
+    store.reset()
+    assert store.load_checkpoint("a") == b"third"
+    assert store.checkpoint_keys() == ["a", "b"]
+    store.close()
+    if name == "memory":
+        return  # no backing store to reopen
+    reopened = opener()
+    assert reopened.load_checkpoint("a") == b"third"
+    assert reopened.load_checkpoint("b") == b"\x00second"
+    assert reopened.load_checkpoint("missing") is None
+    reopened.save_checkpoint("c", b"fourth")
+    reopened.save_checkpoint("a", b"fifth")
+    assert reopened.checkpoint_keys() == ["a", "b", "c"]
+    reopened.close()
+
+
+@pytest.mark.parametrize("name", ["redis", REDIS_SHIM])
+def test_redis_store_runs_columnar_dyconits(name):
+    """Redis keeps only checkpoints: its dyconits are the memory
+    store's, so commits take the columnar path."""
+    store = fresh_store(name)
+    handle = store.create_dyconit_state(("chunk", 0, 0), merging=True)
+    assert handle._flat is not None
+    store.close()

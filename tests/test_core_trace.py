@@ -1,11 +1,9 @@
-"""Unit tests for middleware decision tracing."""
-
-import pytest
+"""Unit tests for middleware decision events (``trace.<kind>`` on the hub)."""
 
 from repro.core.bounds import Bounds
 from repro.core.manager import DyconitSystem
 from repro.core.policy import Policy
-from repro.core.trace import DyconitTracer, TraceEvent
+from repro.telemetry.hub import Telemetry
 from repro.world.events import EntityMoveEvent
 from repro.world.geometry import Vec3
 
@@ -22,9 +20,15 @@ def move(entity_id=1, time=0.0):
 
 
 def make_traced_system():
-    system = DyconitSystem(P(), time_source=lambda: 0.0)
-    system.tracer = DyconitTracer(capacity=100)
-    return system
+    return DyconitSystem(P(), time_source=lambda: 0.0, telemetry=Telemetry(enabled=True))
+
+
+def decisions(system, kind):
+    return [
+        dict(event.fields)
+        for event in system.telemetry.events
+        if event.kind == "trace." + kind
+    ]
 
 
 def test_flush_is_traced_with_reason():
@@ -32,10 +36,11 @@ def test_flush_is_traced_with_reason():
     rec = RecordingSubscriber()
     system.subscribe(("chunk", 0, 0), rec.subscriber)
     system.commit(move())
-    flushes = system.tracer.events(kind="flush")
+    flushes = decisions(system, "flush")
     assert len(flushes) == 1
-    assert "reason=numerical" in flushes[0].detail
-    assert flushes[0].subscriber_id == rec.subscriber.subscriber_id
+    assert "reason=numerical" in flushes[0]["detail"]
+    assert flushes[0]["subscriber"] == str(rec.subscriber.subscriber_id)
+    assert flushes[0]["dyconit"] == repr(("chunk", 0, 0))
 
 
 def test_bounds_change_is_traced():
@@ -43,95 +48,28 @@ def test_bounds_change_is_traced():
     rec = RecordingSubscriber()
     system.subscribe(("chunk", 0, 0), rec.subscriber)
     system.set_bounds(("chunk", 0, 0), rec.subscriber.subscriber_id, Bounds(9.0, 90.0))
-    events = system.tracer.events(kind="bounds")
+    events = decisions(system, "bounds")
     assert len(events) == 1
-    assert "numerical=9" in events[0].detail
+    assert "numerical=9" in events[0]["detail"]
 
 
 def test_merge_and_split_are_traced():
     system = make_traced_system()
     system.merge_dyconits([("chunk", 0, 0), ("chunk", 1, 0)], ("region", 4, 0, 0))
     system.split_dyconit(("region", 4, 0, 0))
-    assert system.tracer.counts["merge"] == 2
-    assert system.tracer.counts["split"] == 2
-
-
-def test_ring_buffer_caps_memory():
-    tracer = DyconitTracer(capacity=5)
-    for index in range(20):
-        tracer.record(float(index), "flush", "d")
-    assert len(tracer) == 5
-    assert tracer.counts["flush"] == 20  # counters keep the full total
-    assert [event.time for event in tracer] == [15.0, 16.0, 17.0, 18.0, 19.0]
-
-
-def test_ring_buffer_wraparound_interleaved_kinds():
-    """Eviction is strictly oldest-first even when kinds interleave, and
-    the per-kind counters keep full totals after overflow."""
-    tracer = DyconitTracer(capacity=4)
-    kinds = ["flush", "bounds", "flush", "merge", "flush", "split", "bounds"]
-    for index, kind in enumerate(kinds):
-        tracer.record(float(index), kind, "d")
-    # Only the newest 4 survive, in arrival order.
-    assert [(event.time, event.kind) for event in tracer] == [
-        (3.0, "merge"),
-        (4.0, "flush"),
-        (5.0, "split"),
-        (6.0, "bounds"),
-    ]
-    # Counters are not decremented by eviction: they count all 7 records.
-    assert tracer.counts == {"flush": 3, "bounds": 2, "merge": 1, "split": 1}
-    # Filtered views only see retained events.
-    assert len(tracer.events(kind="flush")) == 1
-    assert len(tracer.events(kind="bounds")) == 1
-
-
-def test_ring_buffer_wraparound_multiple_times():
-    tracer = DyconitTracer(capacity=3)
-    for index in range(10):
-        tracer.record(float(index), "flush" if index % 2 == 0 else "bounds", "d")
-    assert len(tracer) == 3
-    assert tracer.counts["flush"] == 5
-    assert tracer.counts["bounds"] == 5
-    assert [event.time for event in tracer] == [7.0, 8.0, 9.0]
-
-
-def test_format_tail_after_overflow_shows_newest():
-    tracer = DyconitTracer(capacity=2)
-    for index in range(5):
-        tracer.record(float(index), "flush", "d", detail=f"n={index}")
-    text = tracer.format_tail(count=10)
-    assert "n=4" in text and "n=3" in text
-    assert "n=0" not in text
-
-
-def test_filtering_by_dyconit():
-    tracer = DyconitTracer()
-    tracer.record(0.0, "flush", "a")
-    tracer.record(1.0, "flush", "b")
-    assert len(tracer.events(dyconit_id="a")) == 1
-
-
-def test_format_tail():
-    tracer = DyconitTracer()
-    tracer.record(5.0, "flush", ("chunk", 0, 0), 7, "reason=staleness updates=3")
-    text = tracer.format_tail()
-    assert "flush" in text and "reason=staleness" in text
-
-
-def test_event_str():
-    event = TraceEvent(1.0, "merge", "x", None, "into y")
-    assert "merge" in str(event)
-
-
-def test_capacity_validation():
-    with pytest.raises(ValueError):
-        DyconitTracer(capacity=0)
+    counters = system.telemetry.snapshot()
+    assert counters["trace_events_total{kind=merge}"] == 2
+    assert counters["trace_events_total{kind=split}"] == 2
+    assert [e["detail"] for e in decisions(system, "merge")] == [
+        "into ('region', 4, 0, 0)"
+    ] * 2
 
 
 def test_untraced_system_pays_nothing():
     system = DyconitSystem(P(), time_source=lambda: 0.0)
     rec = RecordingSubscriber()
     system.subscribe(("chunk", 0, 0), rec.subscriber)
-    system.commit(move())  # no tracer attached; must not raise
-    assert system.tracer is None
+    system.commit(move())  # default hub is disabled; must not raise
+    assert system.stats.flushes == 1
+    assert system.telemetry.events == []
+    assert not hasattr(system, "tracer")

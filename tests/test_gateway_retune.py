@@ -15,6 +15,7 @@ Three layers of proof that the live control plane cannot corrupt a run:
    recorded as an error instead of taking the tick loop down.
 """
 
+import functools
 import json
 
 import pytest
@@ -288,6 +289,26 @@ class TestValidation:
             for state in dyconit.subscription_states()
         ]
         assert untouched and all(state.bounds != zero for state in untouched)
+
+    def test_gateway_refuses_a_parallel_cluster(self):
+        """Worker shards are never retuned by the parallel pump, so a
+        gateway must not attach there and accept ops it cannot apply."""
+        from repro.cluster import ParallelShardRunner
+
+        runner = ParallelShardRunner(
+            Simulation(),
+            shards=2,
+            config=ServerConfig(seed=3, synchronous_delivery=True),
+            policy_factory=functools.partial(make_policy, "fixed"),
+        )
+        try:
+            with pytest.raises(
+                ValueError, match=r"ParallelShardRunner.*serial ShardedCluster"
+            ):
+                GatewayCore(runner)
+            assert runner.control_plane is None
+        finally:
+            runner.shutdown()
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ FOLDED_COUNTER_PREFIXES = (
     "dyconit_",
     "cluster_",
     "invariant_",
+    "trace_",
 )
 
 
@@ -232,8 +233,10 @@ def test_worker_telemetry_folds_to_serial_counter_totals():
     par_totals = totals(par_hub)
     assert serial_totals == par_totals
     # Vacuity guards: the comparison covers worker-side families (ticks,
-    # packets, dyconit commits) and the parent-side pump counters.
+    # packets, dyconit commits, decision events) and the parent-side
+    # pump counters.
     assert any(name == "server_ticks_total" for name, __ in serial_totals)
+    assert any(name == "trace_events_total" for name, __ in serial_totals)
     assert any(name == "link_packets_sent_total" for name, __ in serial_totals)
     assert any(name == "cluster_pumps_total" for name, __ in serial_totals)
     # Both runtimes publish the pump-convergence gauge at every barrier.
@@ -318,17 +321,44 @@ def test_finalize_is_idempotent(parallel_run):
     assert par.shards[0].transport.total_packets() > 0
 
 
-def test_dead_worker_fails_naming_shard_command_and_exit_code():
-    """A worker killed mid-run must not surface as a bare pipe error:
-    the next barrier names the shard, the command and the exit code."""
-    sim = Simulation()
-    cluster = ParallelShardRunner(
+def make_small_runner(sim):
+    return ParallelShardRunner(
         sim,
         shards=2,
         strip_width=4,
         config=ServerConfig(seed=SEED, synchronous_delivery=True, mob_count=3),
         policy_factory=ZeroBoundsPolicy,
     )
+
+
+def test_leaving_the_with_block_stops_every_shard_worker():
+    sim = Simulation()
+    with make_small_runner(sim) as cluster:
+        cluster.start()
+        Workload(sim, cluster, make_spec()).start()
+        sim.run_until(500.0)
+        processes = [shard._process for shard in cluster.shards]
+        assert all(process.is_alive() for process in processes)
+    assert not any(process.is_alive() for process in processes)
+    cluster.close()  # idempotent
+
+
+def test_close_after_finalize_is_safe():
+    sim = Simulation()
+    cluster = make_small_runner(sim)
+    cluster.start()
+    sim.run_until(200.0)
+    cluster.finalize()
+    cluster.close()
+    cluster.close()
+    assert not any(shard._process.is_alive() for shard in cluster.shards)
+
+
+def test_dead_worker_fails_naming_shard_command_and_exit_code():
+    """A worker killed mid-run must not surface as a bare pipe error:
+    the next barrier names the shard, the command and the exit code."""
+    sim = Simulation()
+    cluster = make_small_runner(sim)
     cluster.start()
     try:
         Workload(sim, cluster, make_spec()).start()

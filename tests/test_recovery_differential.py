@@ -8,7 +8,8 @@ killed — per client, with the invariant auditor enabled throughout.
 
 Structure:
 
-* parametrized kill ticks on the sqlite file store (the anchor cases);
+* parametrized kill ticks on the sqlite file store (the anchor cases)
+  and through the Redis checkpoint sink (over an in-process fake);
 * a hypothesis-sampled kill-point schedule over the same differential;
 * checkpoint capture is observably read-only (checkpointed run ==
   un-checkpointed run, byte for byte);
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import SQLiteStateStore
+from repro.backends import SQLiteStateStore, redis_store
 from repro.core.bounds import Bounds
 from repro.gateway.control import ControlPlane
 from repro.net.protocol import PlayerActionPacket
@@ -41,6 +42,8 @@ from repro.server.snapshot import (
 )
 from repro.sim.simulator import Simulation
 from repro.world.geometry import Vec3
+
+from tests import redis_shim
 
 TICK = 50.0
 TOTAL_TICKS = 30
@@ -139,9 +142,9 @@ def run_server(store, *, kill_tick=None, checkpoint_at=None, key="ck"):
     return server, sim, logs
 
 
-def resume_from(path, *, key="ck"):
-    """SIGKILL semantics: reattach a fresh store handle to the file."""
-    store = SQLiteStateStore(path)
+def resume_from(store, *, key="ck"):
+    """SIGKILL semantics: *store* is a fresh handle on the killed run's
+    backing store."""
     logs = {cid: [] for cid in range(1, N_CLIENTS + 1)}
     handlers = {cid: make_handler(log) for cid, log in logs.items()}
     server = restore_server_from_store(store, key, handlers=handlers)
@@ -163,21 +166,26 @@ def assert_tails_match(baseline_logs, resumed_logs):
         )
 
 
-def kill_and_resume_differential(tmp_path, kill_tick):
-    baseline_store = SQLiteStateStore(os.path.join(tmp_path, "baseline.db"))
+def sqlite_files(tmp_path):
+    """Store opener: one database file per run name."""
+    return lambda name: SQLiteStateStore(os.path.join(tmp_path, f"{name}.db"))
+
+
+def kill_and_resume_differential(open_store, kill_tick):
+    """``open_store(name)`` opens a store; every store opened under one
+    name shares one backing store (a file, a server namespace)."""
     server_a, _, baseline_logs = run_server(
-        baseline_store, checkpoint_at=kill_tick
+        open_store("baseline"), checkpoint_at=kill_tick
     )
     assert server_a.tick_count == TOTAL_TICKS
 
-    path = os.path.join(tmp_path, "killed.db")
     server_b, _, _ = run_server(
-        SQLiteStateStore(path), kill_tick=kill_tick, checkpoint_at=kill_tick
+        open_store("killed"), kill_tick=kill_tick, checkpoint_at=kill_tick
     )
     assert server_b.tick_count == kill_tick + 4
     del server_b  # abandoned, never stopped/closed: SIGKILL semantics
 
-    server_c, resumed_logs = resume_from(path)
+    server_c, resumed_logs = resume_from(open_store("killed"))
     assert server_c.tick_count == TOTAL_TICKS
     assert_tails_match(baseline_logs, resumed_logs)
     server_a.close()
@@ -192,7 +200,16 @@ def kill_and_resume_differential(tmp_path, kill_tick):
 class TestServerKillResume:
     @pytest.mark.parametrize("kill_tick", [5, 14, 23])
     def test_kill_and_resume_is_packet_identical(self, tmp_path, kill_tick):
-        kill_and_resume_differential(str(tmp_path), kill_tick)
+        kill_and_resume_differential(sqlite_files(str(tmp_path)), kill_tick)
+
+    @pytest.mark.parametrize("kill_tick", [5, 14])
+    def test_kill_and_resume_through_the_redis_sink(self, monkeypatch, kill_tick):
+        """Redis keeps only checkpoint blobs; those alone resume the run."""
+        monkeypatch.setattr(redis_store, "_connect", redis_shim.FakeRedisHost().connect)
+        kill_and_resume_differential(
+            lambda name: redis_store.RedisStateStore(url=f"redis://shim/{name}"),
+            kill_tick,
+        )
 
     def test_restored_server_resumes_from_checkpoint_tick(self, tmp_path):
         path = os.path.join(str(tmp_path), "run.db")
@@ -223,7 +240,7 @@ class TestServerKillResume:
 def test_kill_point_schedule_property(tmp_path_factory, kill_tick):
     """Hypothesis-sampled kill points: the contract holds at ANY barrier."""
     tmp = tmp_path_factory.mktemp(f"kill{kill_tick}")
-    kill_and_resume_differential(str(tmp), kill_tick)
+    kill_and_resume_differential(sqlite_files(str(tmp)), kill_tick)
 
 
 # ---------------------------------------------------------------------------

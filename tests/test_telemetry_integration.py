@@ -1,4 +1,4 @@
-"""End-to-end telemetry: instrumented server runs, tracer bridge, CLI."""
+"""End-to-end telemetry: instrumented server runs, decision events, CLI."""
 
 import json
 
@@ -11,7 +11,7 @@ from repro.policies.fixed import FixedBoundsPolicy
 from repro.server.config import ServerConfig
 from repro.server.engine import GameServer
 from repro.sim.simulator import Simulation
-from repro.telemetry import Telemetry, TelemetryTracer, install_tracer
+from repro.telemetry import Telemetry
 from repro.world.world import World
 
 
@@ -24,7 +24,6 @@ def run_instrumented_server(telemetry: Telemetry, duration_ms: float = 2_000.0):
         policy=FixedBoundsPolicy(Bounds(5.0, 500.0)),
         telemetry=telemetry,
     )
-    install_tracer(server.dyconits, telemetry)
     server.start()
     server.connect("alice", lambda delivered: None)
     server.connect("bob", lambda delivered: None)
@@ -53,15 +52,23 @@ def test_disabled_telemetry_server_records_nothing():
     assert telemetry.snapshot() == {}
 
 
-def test_tracer_bridge_mirrors_middleware_decisions():
+def test_enabled_hub_records_one_flush_event_per_flush():
     telemetry = Telemetry(enabled=True)
     server = run_instrumented_server(telemetry)
-    tracer = server.dyconits.tracer
-    assert isinstance(tracer, TelemetryTracer)
-    assert len(tracer) > 0  # ring buffer still works as a DyconitTracer
+    flushes = server.dyconits.stats.flushes
+    assert flushes > 0
     flush_events = [e for e in telemetry.events if e.kind == "trace.flush"]
-    assert len(flush_events) == tracer.counts["flush"]
-    assert telemetry.snapshot()["trace_events_total{kind=flush}"] > 0
+    assert len(flush_events) == flushes
+    assert telemetry.snapshot()["trace_events_total{kind=flush}"] == flushes
+    assert all(dict(e.fields)["detail"].startswith("reason=") for e in flush_events)
+
+
+def test_disabled_hub_records_no_decision_events():
+    telemetry = Telemetry(enabled=False)
+    server = run_instrumented_server(telemetry)
+    assert server.dyconits.stats.flushes > 0
+    assert telemetry.events == []
+    assert telemetry.counters() == {}
 
 
 def test_run_experiment_with_explicit_hub():
